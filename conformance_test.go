@@ -154,3 +154,84 @@ func TestPrefetcherConformance(t *testing.T) {
 		}
 	}
 }
+
+// figureGoldensPath holds the rendered output of the figures no other
+// golden covers, keyed by experiment id.
+const figureGoldensPath = "testdata/figure_goldens.json"
+
+// figureGoldenOptions sizes the figure goldens for tier-1: two workloads
+// at 60k accesses, with tables scaled down far enough (scale 256) that the
+// EIT and HT are contested — row collisions, super-entry and entry
+// evictions, and stale HT pointers all occur within the window.
+func figureGoldenOptions() (Options, []string) {
+	o := QuickOptions()
+	o.Accesses = 60_000
+	o.Warmup = 30_000
+	o.Scale = 256
+	return o, []string{"OLTP", "MapReduce-W"}
+}
+
+// figureGoldenExperiments are the paths the Domino kernels feed that the
+// prefetcher conformance goldens do not: the timing model (Fig. 14), the
+// EIT-rows sweep (Fig. 10), the VLDP+Domino Stack (Fig. 16), and the
+// ablations, which run EIT geometries with 1 and 8 entries per
+// super-entry.
+var figureGoldenExperiments = []Experiment{
+	ExpFig14Speedup, ExpFig10EITSweep, ExpFig16SpatioTempo, ExpAblations,
+}
+
+// TestFigureGoldens renders each figure in figureGoldenExperiments as CSV
+// (six decimals, so a one-miss change shows) at -j 1 and -j 8 and requires
+// both to be byte-identical to the checked-in golden. Refresh with:
+//
+//	go test -run TestFigureGoldens -update-goldens .
+func TestFigureGoldens(t *testing.T) {
+	o, workloads := figureGoldenOptions()
+	got := make(map[Experiment]string, len(figureGoldenExperiments))
+	for _, exp := range figureGoldenExperiments {
+		run := func(parallelism int) string {
+			o := o
+			o.Parallelism = parallelism
+			out, err := RunExperimentFormat(exp, o, FormatCSV, workloads...)
+			if err != nil {
+				t.Fatalf("RunExperiment(%s, -j %d): %v", exp, parallelism, err)
+			}
+			return out
+		}
+		j1, j8 := run(1), run(8)
+		if j1 != j8 {
+			t.Fatalf("%s: output differs across worker counts:\n-j 1:\n%s\n-j 8:\n%s", exp, j1, j8)
+		}
+		got[exp] = j1
+	}
+
+	if *updateGoldens {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(figureGoldensPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", figureGoldensPath)
+		return
+	}
+	raw, err := os.ReadFile(figureGoldensPath)
+	if err != nil {
+		t.Fatalf("reading figure goldens (rerun with -update-goldens to capture): %v", err)
+	}
+	var want map[Experiment]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parsing figure goldens: %v", err)
+	}
+	for _, exp := range figureGoldenExperiments {
+		w, ok := want[exp]
+		if !ok {
+			t.Errorf("%s: no golden (refresh with -update-goldens)", exp)
+			continue
+		}
+		if got[exp] != w {
+			t.Errorf("%s diverged from golden:\n got:\n%s\nwant:\n%s", exp, got[exp], w)
+		}
+	}
+}

@@ -8,6 +8,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"domino/internal/mem"
 )
 
@@ -21,30 +24,36 @@ type Entry struct {
 	Ptr uint64
 }
 
-// superEntry groups the entries sharing a tag (the first address of the
-// pair). Entries are kept in MRU order; the most recent entry is the
-// stream Domino prefetches first when only one address is known.
-type superEntry struct {
-	tag     mem.Line
-	entries []Entry // index 0 is most recently used
-}
-
-// eitRow is one row of the EIT: a handful of super-entries in MRU order,
-// occupying one cache block in memory.
-type eitRow struct {
-	supers []*superEntry // index 0 is most recently used
-}
-
 // EIT is the Enhanced Index Table (Section III-B): a bucketised hash table
 // in main memory, indexed by a *single* triggering-event address, whose
 // rows hold super-entries of (successor address, HT pointer) pairs with
 // two-level LRU replacement — among super-entries within a row and among
 // entries within a super-entry.
 //
-// Rows are allocated lazily, so a full-scale 2 M-row table costs memory
-// proportional only to the rows actually touched.
+// The layout is pointer-free, so updates and lookups allocate nothing and
+// the garbage collector has nothing to scan:
+//
+//   - each row is supersPerRow int32 super-entry ids in MRU order (index 0
+//     is most recently used) plus a count of the ids in use;
+//   - super-entries live in one slab of parallel slices — tag, entry count,
+//     and entriesPerSuper entries each, in MRU order.
+//
+// A slab slot is appended the first time a row gains a super-entry; once a
+// row is full, replacing its LRU super-entry reuses that slot. Memory is
+// therefore proportional to the super-entries ever written, not to the
+// table's geometry: a full-scale 2 M-row table costs 17 bytes per row up
+// front (the id array and counts) plus one slot per super-entry actually
+// created.
 type EIT struct {
-	rows            []*eitRow
+	ids   []int32 // rows × supersPerRow super-entry ids, MRU first per row
+	count []uint8 // ids in use per row
+
+	// The super-entry slab: slot i is tags[i], n[i] and
+	// entries[i*entriesPerSuper : i*entriesPerSuper+n[i]].
+	tags    []mem.Line
+	n       []uint8
+	entries []Entry
+
 	mask            uint64
 	shift           uint
 	supersPerRow    int
@@ -52,15 +61,18 @@ type EIT struct {
 	populatedRows   int
 }
 
+// maxWays is the largest super-entries-per-row and entries-per-super-entry
+// count the slab can hold: both are counted in a uint8.
+const maxWays = math.MaxUint8
+
 // NewEIT builds a table with the given geometry. rowCount is rounded up to
-// a power of two.
+// a power of two. It panics if a dimension exceeds what the slab's
+// counters and int32 ids can address (more than 255 super-entries per row
+// or entries per super-entry, or more than 2^31-1 super-entries in all),
+// rather than letting a counter wrap and silently skew the figures.
 func NewEIT(rowCount, supersPerRow, entriesPerSuper int) *EIT {
 	if rowCount < 1 {
 		rowCount = 1
-	}
-	n := 1
-	for n < rowCount {
-		n <<= 1
 	}
 	if supersPerRow < 1 {
 		supersPerRow = 1
@@ -68,12 +80,30 @@ func NewEIT(rowCount, supersPerRow, entriesPerSuper int) *EIT {
 	if entriesPerSuper < 1 {
 		entriesPerSuper = 1
 	}
+	if supersPerRow > maxWays {
+		panic(fmt.Sprintf("core: EIT geometry has %d super-entries per row; the slab holds at most %d",
+			supersPerRow, maxWays))
+	}
+	if entriesPerSuper > maxWays {
+		panic(fmt.Sprintf("core: EIT geometry has %d entries per super-entry; the slab holds at most %d",
+			entriesPerSuper, maxWays))
+	}
+	maxRows := math.MaxInt32 / supersPerRow
+	n := 1
+	for n < rowCount && n <= maxRows {
+		n <<= 1
+	}
+	if n > maxRows {
+		panic(fmt.Sprintf("core: EIT geometry of %d rows (rounded up to a power of two) x %d super-entries exceeds the slab's %d int32 ids",
+			rowCount, supersPerRow, math.MaxInt32))
+	}
 	shift := uint(64)
 	for m := n; m > 1; m >>= 1 {
 		shift--
 	}
 	return &EIT{
-		rows:            make([]*eitRow, n),
+		ids:             make([]int32, n*supersPerRow),
+		count:           make([]uint8, n),
 		mask:            uint64(n - 1),
 		shift:           shift,
 		supersPerRow:    supersPerRow,
@@ -82,9 +112,9 @@ func NewEIT(rowCount, supersPerRow, entriesPerSuper int) *EIT {
 }
 
 // Rows returns the row count.
-func (t *EIT) Rows() int { return len(t.rows) }
+func (t *EIT) Rows() int { return len(t.count) }
 
-// PopulatedRows returns how many rows have been allocated.
+// PopulatedRows returns how many rows hold at least one super-entry.
 func (t *EIT) PopulatedRows() int { return t.populatedRows }
 
 // rowIndex hashes a line address to a row. Fibonacci hashing with the
@@ -97,26 +127,49 @@ func (t *EIT) rowIndex(line mem.Line) uint64 {
 	return (uint64(line) * 0x9E3779B97F4A7C15) >> t.shift & t.mask
 }
 
-// Lookup fetches the super-entry tagged with line, if present, returning a
-// copy of its entries in MRU order. The caller accounts the off-chip row
-// read; Lookup itself is functional. Lookup refreshes the super-entry's
-// LRU position, as the paper's replay path does when it brings the row into
-// PointBuf.
-func (t *EIT) Lookup(line mem.Line) ([]Entry, bool) {
-	row := t.rows[t.rowIndex(line)]
-	if row == nil {
-		return nil, false
-	}
-	for i, se := range row.supers {
-		if se.tag == line {
-			copy(row.supers[1:i+1], row.supers[:i])
-			row.supers[0] = se
-			out := make([]Entry, len(se.entries))
-			copy(out, se.entries)
-			return out, true
+// row returns the in-use MRU id list of row r.
+func (t *EIT) row(r int) []int32 {
+	base := r * t.supersPerRow
+	return t.ids[base : base+int(t.count[r]) : base+t.supersPerRow]
+}
+
+// find returns the position in ids of the super-entry tagged line, or -1.
+func (t *EIT) find(ids []int32, line mem.Line) int {
+	for i, id := range ids {
+		if t.tags[id] == line {
+			return i
 		}
 	}
-	return nil, false
+	return -1
+}
+
+// toFront moves s[i] to the front (the MRU position), shifting s[:i] back.
+func toFront[T any](s []T, i int) {
+	v := s[i]
+	copy(s[1:i+1], s[:i])
+	s[0] = v
+}
+
+// Lookup fetches the super-entry tagged with line, if present, returning a
+// copy of its entries in MRU order. It is LookupInto with a fresh slice.
+func (t *EIT) Lookup(line mem.Line) ([]Entry, bool) { return t.LookupInto(line, nil) }
+
+// LookupInto fetches the super-entry tagged with line, if present, copying
+// its entries in MRU order into dst[:0] and returning the result, so a
+// caller that keeps dst allocates nothing. The caller accounts the
+// off-chip row read; LookupInto itself is functional. It refreshes the
+// super-entry's LRU position, as the paper's replay path does when it
+// brings the row into PointBuf.
+func (t *EIT) LookupInto(line mem.Line, dst []Entry) ([]Entry, bool) {
+	ids := t.row(int(t.rowIndex(line)))
+	i := t.find(ids, line)
+	if i < 0 {
+		return dst[:0], false
+	}
+	toFront(ids, i)
+	id := int(ids[0])
+	base := id * t.entriesPerSuper
+	return append(dst[:0], t.entries[base:base+int(t.n[id])]...), true
 }
 
 // Update records that triggering event tag was followed by next, whose HT
@@ -125,44 +178,50 @@ func (t *EIT) Lookup(line mem.Line) ([]Entry, bool) {
 // allocated with LRU replacement, the pointer is refreshed, and both LRU
 // stacks are updated.
 func (t *EIT) Update(tag, next mem.Line, ptr uint64) {
-	idx := t.rowIndex(tag)
-	row := t.rows[idx]
-	if row == nil {
-		row = &eitRow{}
-		t.rows[idx] = row
-		t.populatedRows++
-	}
+	r := int(t.rowIndex(tag))
+	ids := t.row(r)
 
 	// Find or allocate the super-entry.
-	var se *superEntry
-	for i, cand := range row.supers {
-		if cand.tag == tag {
-			se = cand
-			copy(row.supers[1:i+1], row.supers[:i])
-			row.supers[0] = se
-			break
+	var id int
+	if i := t.find(ids, tag); i >= 0 {
+		toFront(ids, i)
+		id = int(ids[0])
+	} else {
+		if len(ids) < t.supersPerRow {
+			// The row gains a super-entry: append a slab slot.
+			if len(ids) == 0 {
+				t.populatedRows++
+			}
+			id = len(t.tags)
+			t.tags = append(t.tags, 0)
+			t.n = append(t.n, 0)
+			t.entries = append(t.entries, make([]Entry, t.entriesPerSuper)...)
+			ids = ids[:len(ids)+1]
+			t.count[r]++
+		} else {
+			// Replace the row's LRU super-entry, reusing its slot.
+			id = int(ids[len(ids)-1])
 		}
-	}
-	if se == nil {
-		se = &superEntry{tag: tag}
-		if len(row.supers) >= t.supersPerRow {
-			row.supers = row.supers[:t.supersPerRow-1] // drop LRU
-		}
-		row.supers = append([]*superEntry{se}, row.supers...)
+		copy(ids[1:], ids[:len(ids)-1])
+		ids[0] = int32(id)
+		t.tags[id] = tag
+		t.n[id] = 0
 	}
 
 	// Find or allocate the entry for next.
-	for i := range se.entries {
-		if se.entries[i].Addr == next {
-			e := se.entries[i]
-			e.Ptr = ptr
-			copy(se.entries[1:i+1], se.entries[:i])
-			se.entries[0] = e
+	base := id * t.entriesPerSuper
+	es := t.entries[base : base+int(t.n[id])]
+	for i := range es {
+		if es[i].Addr == next {
+			es[i].Ptr = ptr
+			toFront(es, i)
 			return
 		}
 	}
-	if len(se.entries) >= t.entriesPerSuper {
-		se.entries = se.entries[:t.entriesPerSuper-1]
+	if len(es) < t.entriesPerSuper {
+		t.n[id]++
+		es = es[:len(es)+1]
 	}
-	se.entries = append([]Entry{{Addr: next, Ptr: ptr}}, se.entries...)
+	copy(es[1:], es[:len(es)-1])
+	es[0] = Entry{Addr: next, Ptr: ptr}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"domino/internal/mem"
@@ -123,5 +124,67 @@ func TestEITLookupReturnsCopy(t *testing.T) {
 	fresh, _ := e.Lookup(1)
 	if fresh[0].Addr != 10 {
 		t.Fatal("Lookup exposed internal state")
+	}
+}
+
+// TestEITGeometryBeyondSlabPanics pins that a geometry the slab cannot
+// count fails loudly at construction — in NewEIT and through core.New —
+// instead of wrapping a uint8 counter or an int32 id and silently skewing
+// every figure built on it.
+func TestEITGeometryBeyondSlabPanics(t *testing.T) {
+	for _, g := range []struct {
+		name                  string
+		rows, supers, entries int
+		want                  string
+	}{
+		{"256 entries per super-entry", 16, 4, 256, "256 entries per super-entry"},
+		{"256 super-entries per row", 16, 256, 3, "256 super-entries per row"},
+		{"more ids than int32", 1 << 30, 4, 3, "int32 ids"},
+		{"rounding past int32", 1<<28 + 1, 4, 3, "int32 ids"},
+	} {
+		for _, build := range []struct {
+			via string
+			f   func()
+		}{
+			{"NewEIT", func() { NewEIT(g.rows, g.supers, g.entries) }},
+			{"New", func() {
+				cfg := testConfig(1)
+				cfg.Tables.EITRows, cfg.Tables.SuperEntriesPerRow, cfg.Tables.EntriesPerSuper = g.rows, g.supers, g.entries
+				New(cfg, nil)
+			}},
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					msg, _ := r.(string)
+					if !strings.Contains(msg, "core: EIT geometry") || !strings.Contains(msg, g.want) {
+						t.Errorf("%s via %s: recovered %v, want a panic naming %q", g.name, build.via, r, g.want)
+					}
+				}()
+				build.f()
+			}()
+		}
+	}
+}
+
+// TestEITGeometryAtSlabLimit fills a table at the largest countable
+// geometry — 255 super-entries per row and 255 entries per super-entry —
+// past both limits, and checks that the counters saturate at the LRU
+// bound instead of wrapping.
+func TestEITGeometryAtSlabLimit(t *testing.T) {
+	e := NewEIT(1, 255, 255)
+	for i := 0; i < 300; i++ {
+		e.Update(1, mem.Line(1000+i), uint64(i))
+		e.Update(mem.Line(2+i), 7, uint64(i))
+	}
+	entries, ok := e.Lookup(1)
+	if !ok || len(entries) != 255 || entries[0].Addr != 1299 || entries[254].Addr != 1045 {
+		t.Fatalf("tag 1: %d entries (ok=%v), want 255 from 1299 down to 1045", len(entries), ok)
+	}
+	if got := int(e.count[0]); got != 255 {
+		t.Fatalf("row holds %d super-entries, want 255", got)
+	}
+	if _, ok := e.Lookup(2); ok {
+		t.Fatal("tag 2 should have been evicted by 299 newer super-entries")
 	}
 }

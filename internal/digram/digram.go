@@ -63,23 +63,14 @@ type Prefetcher struct {
 	streams *prefetch.StreamSet
 	meter   *dram.Meter
 
-	// Stream recycling, as in stms: at most ActiveStreams+1 pooled streams,
-	// each with a long-lived refill closure over its own HT cursor, so the
-	// hot training path opens streams without allocating.
-	states []*pooledStream
-	free   []*pooledStream
+	// pool opens and recycles streams without allocating (see
+	// history.StreamPool).
+	pool *history.StreamPool
+	// out is the candidate slice Trigger returns, reused on every call.
+	out []prefetch.Candidate
 
 	prev    mem.Line
 	hasPrev bool
-}
-
-// pooledStream pairs a reusable Stream with the cursor its refill closure
-// walks: consecutive HT rows starting at seq, bounded by left.
-type pooledStream struct {
-	s      prefetch.Stream
-	refill func() []mem.Line
-	seq    uint64
-	left   int
 }
 
 // New builds a Digram prefetcher. meter may be nil.
@@ -87,12 +78,15 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 	if meter == nil {
 		meter = &dram.Meter{}
 	}
+	ht := history.New(cfg.HTEntries, cfg.HTRowEntries, meter)
+	streams := prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter)
 	return &Prefetcher{
 		cfg:     cfg,
-		ht:      history.New(cfg.HTEntries, cfg.HTRowEntries, meter),
+		ht:      ht,
 		it:      flathash.New[uint64](0),
 		sampler: history.NewSampler(cfg.SampleOneIn),
-		streams: prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter),
+		streams: streams,
+		pool:    history.NewStreamPool(ht, streams, cfg.MaxRefillRows),
 		meter:   meter,
 	}
 }
@@ -100,87 +94,51 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 // Name returns "digram".
 func (p *Prefetcher) Name() string { return "digram" }
 
-// Trigger implements prefetch.Prefetcher.
+// Trigger implements prefetch.Prefetcher. The returned slice is reused by
+// the next call.
 func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
-	out := p.replay(ev)
+	p.out = p.out[:0]
+	p.replay(ev)
 	p.record(ev)
-	return out
+	return p.out
 }
 
-func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
+func (p *Prefetcher) replay(ev prefetch.Event) {
 	if ev.Kind == mem.EventPrefetchHit {
 		if s := p.streams.OnPrefetchHit(ev.Line); s != nil {
-			return p.issue(s, 1, 0)
+			p.issue(s, 1, 0)
 		}
-		return nil
+		return
 	}
 
 	p.streams.OnMiss()
 	if !p.hasPrev {
-		return nil
+		return
 	}
 	// IT lookup with the (previous, current) pair: one off-chip read.
 	p.meter.RecordBlock(dram.MetadataRead)
 	key := pairKey(p.prev, ev.Line)
 	ptr, ok := p.it.Get(key)
 	if !ok {
-		return nil
+		return
 	}
-	queue, next, ok := p.ht.RowAfter(ptr)
+	s, ok := p.pool.Open(ptr)
 	if !ok {
 		p.it.Delete(key)
-		return nil
+		return
 	}
-	s := p.openStream(queue, next)
-	return p.issue(s, p.cfg.Degree, 2)
+	p.issue(s, p.cfg.Degree, 2)
 }
 
-// openStream takes a stream from the pool (or builds one, with its refill
-// closure, on first use), points it at queue plus the HT rows from seq, and
-// installs it as MRU; the evicted stream returns to the free list.
-func (p *Prefetcher) openStream(queue []mem.Line, seq uint64) *prefetch.Stream {
-	var ps *pooledStream
-	if n := len(p.free); n > 0 {
-		ps = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		ps = &pooledStream{}
-		ps.refill = func() []mem.Line {
-			if ps.left <= 0 {
-				return nil
-			}
-			ps.left--
-			entries, next := p.ht.NextRow(ps.seq)
-			ps.seq = next
-			return entries
-		}
-		p.states = append(p.states, ps)
-	}
-	ps.seq = seq
-	ps.left = p.cfg.MaxRefillRows
-	ps.s.Reset(queue, ps.refill)
-	if evicted := p.streams.Insert(&ps.s); evicted != nil {
-		for _, st := range p.states {
-			if &st.s == evicted {
-				p.free = append(p.free, st)
-				break
-			}
-		}
-	}
-	return &ps.s
-}
-
-func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) []prefetch.Candidate {
-	out := make([]prefetch.Candidate, 0, n)
-	for len(out) < n {
+func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) {
+	for i := 0; i < n; i++ {
 		line, ok := s.Next()
 		if !ok {
 			break
 		}
 		p.streams.Issued(s, line)
-		out = append(out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
+		p.out = append(p.out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
 	}
-	return out
 }
 
 func (p *Prefetcher) record(ev prefetch.Event) {

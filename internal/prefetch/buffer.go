@@ -13,11 +13,20 @@ import (
 // Replacement is FIFO: the buffer is a window over the most recently
 // prefetched blocks, which is how a hardware prefetch buffer of this size
 // behaves and what makes overpredictions visible as pollution.
+//
+// Storage is three fixed arrays of capacity length — line, issuer tag and
+// insertion sequence number — whose first n slots hold the resident blocks
+// in no particular order. Lookups scan them linearly, which at the paper's
+// 32 blocks is cheaper than hashing; a removal moves the last resident
+// block into the hole; eviction takes the resident block with the smallest
+// sequence number, the oldest insertion. Nothing is allocated after
+// NewBuffer.
 type Buffer struct {
-	capacity int
-	entries  map[mem.Line]*bufEntry
-	fifo     []*bufEntry // insertion order; head at index 0
-	gone     int         // entries in fifo already consumed or invalidated
+	lines []mem.Line
+	tags  []string
+	seqs  []uint64
+	n     int    // resident blocks: slots [0, n)
+	next  uint64 // sequence number of the next insertion
 
 	issued  uint64
 	used    uint64
@@ -28,31 +37,40 @@ type Buffer struct {
 	onEvict func(mem.Line)
 }
 
-type bufEntry struct {
-	line mem.Line
-	tag  string
-	gone bool // consumed or evicted; kept in fifo until popped
-}
-
 // NewBuffer returns a buffer holding up to capacity blocks.
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	return &Buffer{
-		capacity: capacity,
-		entries:  make(map[mem.Line]*bufEntry, capacity),
+		lines: make([]mem.Line, capacity),
+		tags:  make([]string, capacity),
+		seqs:  make([]uint64, capacity),
 	}
 }
 
-// Contains reports whether line is buffered.
-func (b *Buffer) Contains(line mem.Line) bool {
-	_, ok := b.entries[line]
-	return ok
+// find returns the slot holding line, or -1.
+func (b *Buffer) find(line mem.Line) int {
+	for i, l := range b.lines[:b.n] {
+		if l == line {
+			return i
+		}
+	}
+	return -1
 }
 
+// remove empties slot i by moving the last resident block into it.
+func (b *Buffer) remove(i int) {
+	b.n--
+	b.lines[i], b.tags[i], b.seqs[i] = b.lines[b.n], b.tags[b.n], b.seqs[b.n]
+	b.tags[b.n] = ""
+}
+
+// Contains reports whether line is buffered.
+func (b *Buffer) Contains(line mem.Line) bool { return b.find(line) >= 0 }
+
 // Len returns the number of buffered blocks.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return b.n }
 
 // Insert adds a prefetched line with its issuer tag. Inserting a line that
 // is already buffered refreshes nothing and is not counted again; the
@@ -60,60 +78,33 @@ func (b *Buffer) Len() int { return len(b.entries) }
 // prefetcher issuing redundant candidates within one Trigger call — they
 // are simply ignored. Insert reports whether the line was newly added.
 func (b *Buffer) Insert(line mem.Line, tag string) bool {
-	if _, ok := b.entries[line]; ok {
+	if b.find(line) >= 0 {
 		return false
 	}
-	for len(b.entries) >= b.capacity {
+	if b.n == len(b.lines) {
 		b.evictOldest()
 	}
-	e := &bufEntry{line: line, tag: tag}
-	b.entries[line] = e
-	b.fifo = append(b.fifo, e)
+	b.lines[b.n], b.tags[b.n], b.seqs[b.n] = line, tag, b.next
+	b.n++
+	b.next++
 	b.issued++
 	return true
 }
 
+// evictOldest displaces the resident block inserted first.
 func (b *Buffer) evictOldest() {
-	for len(b.fifo) > 0 {
-		e := b.fifo[0]
-		b.fifo[0] = nil
-		b.fifo = b.fifo[1:]
-		if e.gone {
-			b.gone--
-			continue
-		}
-		delete(b.entries, e.line)
-		e.gone = true
-		b.dropped++
-		if b.onEvict != nil {
-			b.onEvict(e.line)
-		}
-		return
-	}
-}
-
-// compact drops gone markers from the fifo once they outnumber the
-// capacity. Without it, gone entries are only drained by evictOldest —
-// which runs only when the buffer is full — so a high-accuracy prefetcher
-// whose blocks are consumed before the buffer ever fills would grow the
-// fifo by one retained *bufEntry per consumed prefetch, without bound.
-// Compacting keeps len(fifo) <= len(entries) + capacity, i.e. O(capacity),
-// while preserving the relative insertion order of live entries.
-func (b *Buffer) compact() {
-	if b.gone <= b.capacity {
-		return
-	}
-	kept := b.fifo[:0]
-	for _, e := range b.fifo {
-		if !e.gone {
-			kept = append(kept, e)
+	oldest := 0
+	for i, s := range b.seqs[:b.n] {
+		if s < b.seqs[oldest] {
+			oldest = i
 		}
 	}
-	for i := len(kept); i < len(b.fifo); i++ {
-		b.fifo[i] = nil
+	line := b.lines[oldest]
+	b.remove(oldest)
+	b.dropped++
+	if b.onEvict != nil {
+		b.onEvict(line)
 	}
-	b.fifo = kept
-	b.gone = 0
 }
 
 // OnEvict registers f to observe every line dropped before use. Pass nil
@@ -123,30 +114,25 @@ func (b *Buffer) OnEvict(f func(mem.Line)) { b.onEvict = f }
 // Consume looks up line; on a hit it removes the block (it moves into the
 // L1-D) and returns its issuer tag and true.
 func (b *Buffer) Consume(line mem.Line) (tag string, ok bool) {
-	e, ok := b.entries[line]
-	if !ok {
+	i := b.find(line)
+	if i < 0 {
 		return "", false
 	}
-	delete(b.entries, line)
-	e.gone = true
-	b.gone++
-	b.compact()
+	tag = b.tags[i]
+	b.remove(i)
 	b.used++
-	return e.tag, true
+	return tag, true
 }
 
 // Invalidate removes line without counting it as used or dropped-unused
 // beyond the drop counter; used when a prefetcher explicitly discards a
 // replaced stream's blocks.
 func (b *Buffer) Invalidate(line mem.Line) bool {
-	e, ok := b.entries[line]
-	if !ok {
+	i := b.find(line)
+	if i < 0 {
 		return false
 	}
-	delete(b.entries, line)
-	e.gone = true
-	b.gone++
-	b.compact()
+	b.remove(i)
 	b.dropped++
 	if b.onEvict != nil {
 		b.onEvict(line)
@@ -171,5 +157,5 @@ func (b *Buffer) ResetCounters() { b.issued, b.used, b.dropped = 0, 0, 0 }
 // dropped blocks plus blocks still resident. This is the overprediction
 // count at the end of a run.
 func (b *Buffer) Unused() uint64 {
-	return b.dropped + uint64(len(b.entries))
+	return b.dropped + uint64(b.n)
 }

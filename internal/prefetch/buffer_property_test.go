@@ -10,7 +10,8 @@ import (
 // bufferModel is the reference the property test checks Buffer against: a
 // plain ordered list of resident lines, evicting from the front. It
 // deliberately shares no code or data-structure tricks with Buffer (which
-// lazily compacts its fifo through gone markers).
+// keeps resident blocks unordered in fixed arrays and evicts by smallest
+// insertion sequence number).
 type bufferModel struct {
 	capacity int
 	order    []mem.Line // insertion order, oldest first
@@ -149,13 +150,19 @@ func TestBufferProperty(t *testing.T) {
 			if buf.Len() > cfg.capacity {
 				t.Fatalf("seed %d op %d: Len %d exceeds capacity %d", cfg.seed, op, buf.Len(), cfg.capacity)
 			}
-			// The fifo may retain gone markers between compactions, but
-			// never more than capacity of them: its length stays
-			// O(capacity) under every interleaving, including the
-			// consume-heavy one where the buffer never fills.
-			if len(buf.fifo) > 2*cfg.capacity {
-				t.Fatalf("seed %d op %d: len(fifo) = %d, want <= %d (gone entries not compacted)",
-					cfg.seed, op, len(buf.fifo), 2*cfg.capacity)
+			// Storage is exactly capacity slots under every interleaving,
+			// including the consume-heavy one where the buffer never
+			// fills: nothing grows, and no more than capacity blocks are
+			// resident.
+			if len(buf.lines) != cfg.capacity || cap(buf.lines) != cfg.capacity ||
+				len(buf.tags) != cfg.capacity || cap(buf.tags) != cfg.capacity ||
+				len(buf.seqs) != cfg.capacity || cap(buf.seqs) != cfg.capacity {
+				t.Fatalf("seed %d op %d: storage lines/tags/seqs = %d/%d/%d (cap %d/%d/%d), want exactly %d",
+					cfg.seed, op, len(buf.lines), len(buf.tags), len(buf.seqs),
+					cap(buf.lines), cap(buf.tags), cap(buf.seqs), cfg.capacity)
+			}
+			if buf.n > cfg.capacity {
+				t.Fatalf("seed %d op %d: %d resident slots, capacity %d", cfg.seed, op, buf.n, cfg.capacity)
 			}
 			if buf.Len() != len(model.order) {
 				t.Fatalf("seed %d op %d: Len %d, model %d", cfg.seed, op, buf.Len(), len(model.order))

@@ -65,6 +65,14 @@ type Prefetcher interface {
 	Name() string
 	// Trigger delivers one triggering event and returns the prefetches
 	// to issue, in issue order.
+	//
+	// Ownership: the returned slice belongs to the prefetcher until its
+	// next Trigger call, which may overwrite or reuse it (the temporal
+	// prefetchers return one scratch slice every time, so their hot path
+	// allocates nothing). Callers consume the candidates before calling
+	// Trigger again and copy any they keep; the evaluator, the timing
+	// model and Stack all do. TestTriggerOwnershipRule in
+	// internal/experiments holds every prefetcher to it.
 	Trigger(ev Event) []Candidate
 }
 

@@ -15,8 +15,8 @@ import (
 // A Session is not safe for concurrent use; drive each Session from a
 // single goroutine (the serving layer's single-writer shards do exactly
 // that). Its steady-state memory is bounded as long as the prefetcher's
-// metadata tables are bounded: the buffer and stream bookkeeping compact
-// themselves (see Buffer.compact and StreamSet.compactInflight), which the
+// metadata tables are bounded: the buffer is fixed-size and the stream
+// bookkeeping compacts itself (see StreamSet.compactInflight), which the
 // soak test in internal/serve pins across tens of millions of accesses.
 type Session struct {
 	e      *Evaluator

@@ -17,7 +17,8 @@ type Stream struct {
 	// Refill, if non-nil, fetches the next batch of history when Queue
 	// runs dry (the next row of the HT; the prefetcher's Refill closure
 	// accounts the metadata-read traffic). A nil or empty result ends
-	// the stream.
+	// the stream. The result becomes the new Queue, so Refill may return
+	// the same buffer every time: it is only called once Queue is empty.
 	Refill func() []mem.Line
 	// Tag is attached to candidates issued for this stream.
 	Tag string
@@ -41,7 +42,7 @@ func (s *Stream) Next() (mem.Line, bool) {
 			s.Refill = nil
 			return 0, false
 		}
-		s.Queue = append(s.Queue, more...)
+		s.Queue = more
 	}
 	l := s.Queue[0]
 	s.Queue = s.Queue[1:]

@@ -71,23 +71,13 @@ type Prefetcher struct {
 	streams *prefetch.StreamSet
 	meter   *dram.Meter
 
-	// Stream recycling: every stream ever opened lives in states (at most
-	// ActiveStreams+1 of them), each with a long-lived refill closure over
-	// its own cursor. Opening a stream on the hot training path then
-	// allocates nothing — no Stream, no closure, no in-flight slice regrow.
-	states []*pooledStream
-	free   []*pooledStream
+	// pool opens and recycles streams without allocating (see
+	// history.StreamPool).
+	pool *history.StreamPool
+	// out is the candidate slice Trigger returns, reused on every call.
+	out []prefetch.Candidate
 
 	nMiss, nMatch, nStale, nStream, nAdvance uint64
-}
-
-// pooledStream pairs a reusable Stream with the cursor its refill closure
-// walks: consecutive HT rows starting at seq, bounded by left.
-type pooledStream struct {
-	s      prefetch.Stream
-	refill func() []mem.Line
-	seq    uint64
-	left   int
 }
 
 // DebugStats reports internal counters for calibration and tests.
@@ -102,12 +92,15 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 	if meter == nil {
 		meter = &dram.Meter{}
 	}
+	ht := history.New(cfg.HTEntries, cfg.HTRowEntries, meter)
+	streams := prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter)
 	return &Prefetcher{
 		cfg:     cfg,
-		ht:      history.New(cfg.HTEntries, cfg.HTRowEntries, meter),
+		ht:      ht,
 		it:      flathash.New[uint64](0),
 		sampler: history.NewSampler(cfg.SampleOneIn),
-		streams: prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter),
+		streams: streams,
+		pool:    history.NewStreamPool(ht, streams, cfg.MaxRefillRows),
 		meter:   meter,
 	}
 }
@@ -117,20 +110,22 @@ func (p *Prefetcher) Name() string { return "stms" }
 
 // Trigger implements prefetch.Prefetcher. Replaying has priority over
 // recording (Section III-B), so the lookup observes the history as it was
-// before the current event is appended.
+// before the current event is appended. The returned slice is reused by
+// the next call.
 func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
-	out := p.replay(ev)
+	p.out = p.out[:0]
+	p.replay(ev)
 	p.record(ev)
-	return out
+	return p.out
 }
 
-func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
+func (p *Prefetcher) replay(ev prefetch.Event) {
 	if ev.Kind == mem.EventPrefetchHit {
 		if s := p.streams.OnPrefetchHit(ev.Line); s != nil {
 			p.nAdvance++
-			return p.issue(s, 1, 0)
+			p.issue(s, 1, 0)
 		}
-		return nil
+		return
 	}
 
 	p.nMiss++
@@ -139,71 +134,32 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 	p.meter.RecordBlock(dram.MetadataRead)
 	ptr, ok := p.it.Get(uint64(ev.Line))
 	if !ok {
-		return nil
+		return
 	}
 	p.nMatch++
-	queue, next, ok := p.ht.RowAfter(ptr) // second off-chip round trip
+	s, ok := p.pool.Open(ptr) // second off-chip round trip
 	if !ok {
 		p.nStale++
 		p.it.Delete(uint64(ev.Line)) // stale pointer: the HT wrapped past it
-		return nil
+		return
 	}
 	p.nStream++
-	s := p.openStream(queue, next)
 	// The first prefetches of an STMS stream wait for two serial off-chip
 	// accesses: the IT read and the HT read (Figure 6).
-	return p.issue(s, p.cfg.Degree, 2)
-}
-
-// openStream takes a stream from the pool (or builds one, with its refill
-// closure, on first use), points it at queue plus the HT rows from seq, and
-// installs it as MRU. The stream the set evicts to make room goes back on
-// the free list — at most ActiveStreams+1 pooled streams ever exist.
-func (p *Prefetcher) openStream(queue []mem.Line, seq uint64) *prefetch.Stream {
-	var ps *pooledStream
-	if n := len(p.free); n > 0 {
-		ps = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		ps = &pooledStream{}
-		ps.refill = func() []mem.Line {
-			if ps.left <= 0 {
-				return nil
-			}
-			ps.left--
-			entries, next := p.ht.NextRow(ps.seq)
-			ps.seq = next
-			return entries
-		}
-		p.states = append(p.states, ps)
-	}
-	ps.seq = seq
-	ps.left = p.cfg.MaxRefillRows
-	ps.s.Reset(queue, ps.refill)
-	if evicted := p.streams.Insert(&ps.s); evicted != nil {
-		for _, st := range p.states {
-			if &st.s == evicted {
-				p.free = append(p.free, st)
-				break
-			}
-		}
-	}
-	return &ps.s
+	p.issue(s, p.cfg.Degree, 2)
 }
 
 // issue pops up to n lines from s into candidates carrying delay off-chip
 // round trips of issue latency.
-func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) []prefetch.Candidate {
-	out := make([]prefetch.Candidate, 0, n)
-	for len(out) < n {
+func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) {
+	for i := 0; i < n; i++ {
 		line, ok := s.Next()
 		if !ok {
 			break
 		}
 		p.streams.Issued(s, line)
-		out = append(out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
+		p.out = append(p.out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
 	}
-	return out
 }
 
 func (p *Prefetcher) record(ev prefetch.Event) {

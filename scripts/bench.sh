@@ -14,7 +14,10 @@
 #
 # The benchmark set covers the flathash kernel microbenchmarks (Flat vs
 # builtin-map on identical workloads), the per-prefetcher training-loop
-# benchmarks (BenchmarkTrainLookup), the serving hot path (plain, with
+# benchmarks (BenchmarkTrainLookup, Domino's included), the slab EIT and
+# the fixed-array prefetch buffer against the pointer and map reference
+# implementations they replaced (BenchmarkEIT, BenchmarkBufferChurn, Flat
+# vs Map), the evaluator step, the serving hot path (plain, with
 # telemetry enabled, and with the full overload-governance stack armed
 # but uncontended — the steady-state price of governance), the telemetry
 # sinks themselves (enabled and nil-disabled paths), and the trace
@@ -36,6 +39,7 @@ trap 'rm -f "$out"' EXIT
 
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
   ./internal/flathash ./internal/digram ./internal/stms ./internal/isb ./internal/ghb \
+  ./internal/core ./internal/prefetch \
   ./internal/serve ./internal/telemetry ./internal/trace \
   | tee "$out"
 
