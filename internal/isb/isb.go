@@ -36,6 +36,10 @@ func DefaultConfig(degree int) Config { return Config{Degree: degree} }
 // recent occurrence in that PC's sequence. History indexes are int32 —
 // a per-PC log of 2³¹ lines would need 16 GiB for the log alone, far
 // beyond any trace this simulator runs.
+//
+// Candidates go into one scratch slice that Trigger returns, so the only
+// allocations left on the trigger path are the amortised growth of the
+// per-PC histories and of the two maps.
 type Prefetcher struct {
 	cfg Config
 	// pcs maps a PC to its slot in hists.
@@ -46,6 +50,7 @@ type Prefetcher struct {
 	// last maps the folded (pc, line) pair to the index of line's most
 	// recent occurrence in that PC's sequence.
 	last *flathash.Map[int32]
+	out  []prefetch.Candidate
 }
 
 // New builds an ISB prefetcher.
@@ -60,7 +65,8 @@ func New(cfg Config) *Prefetcher {
 // Name returns "isb".
 func (p *Prefetcher) Name() string { return "isb" }
 
-// Trigger implements prefetch.Prefetcher.
+// Trigger implements prefetch.Prefetcher. The returned slice is reused by
+// the next call.
 func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 	slot, ok := p.pcs.Get(uint64(ev.PC))
 	if !ok {
@@ -70,14 +76,14 @@ func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 	}
 	h := p.hists[slot]
 	key := flathash.PackPair(uint64(ev.PC), uint64(ev.Line))
-	var out []prefetch.Candidate
+	p.out = p.out[:0]
 	if idx, ok := p.last.Get(key); ok {
-		for i := int(idx) + 1; i < len(h) && len(out) < p.cfg.Degree; i++ {
+		for i := int(idx) + 1; i < len(h) && len(p.out) < p.cfg.Degree; i++ {
 			// Idealised on-chip metadata: no issue delay.
-			out = append(out, prefetch.Candidate{Line: h[i], Tag: p.Name()})
+			p.out = append(p.out, prefetch.Candidate{Line: h[i], Tag: p.Name()})
 		}
 	}
 	p.last.Put(key, int32(len(h)))
 	p.hists[slot] = append(h, ev.Line)
-	return out
+	return p.out
 }

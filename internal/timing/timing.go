@@ -79,23 +79,18 @@ func (r *Result) String() string {
 		r.Prefetcher, r.IPC(), r.Cycles, r.Covered, r.Misses)
 }
 
-// bufEntry tracks a prefetched block awaiting use.
-type bufEntry struct {
-	readyAt uint64 // absolute cycle the block arrives
-}
-
 // Simulator runs the interval timing model for one core. Construct with
 // New or NewShared.
 type Simulator struct {
-	mc     config.Machine
-	p      prefetch.Prefetcher
-	l1     *cache.Cache
-	l2     *cache.Cache // possibly shared between cores
-	bus    *Bus         // optional shared memory bus
-	buf    map[mem.Line]bufEntry
-	fifo   []mem.Line
-	bufCap int
-	meter  *dram.Meter
+	mc    config.Machine
+	p     prefetch.Prefetcher
+	l1    *cache.Cache
+	l2    *cache.Cache // possibly shared between cores
+	bus   *Bus         // optional shared memory bus
+	buf   prefetchBuffer
+	meter *dram.Meter
+
+	memLat uint64 // mc.MemLatencyCycles, computed once
 
 	instrs  uint64 // instructions processed
 	penalty uint64 // accumulated stall cycles
@@ -131,18 +126,15 @@ func NewShared(mc config.Machine, p prefetch.Prefetcher, meter *dram.Meter, l2 *
 	}
 	return &Simulator{
 		mc:     mc,
+		memLat: uint64(mc.MemLatencyCycles()),
 		p:      p,
 		l1:     cache.New(cache.Config{SizeBytes: mc.L1DSizeBytes, Ways: mc.L1DWays, LineBytes: mem.LineSize}),
 		l2:     l2,
 		bus:    bus,
-		buf:    make(map[mem.Line]bufEntry),
-		bufCap: 32,
 		meter:  meter,
 		res:    Result{Prefetcher: p.Name(), Meter: meter},
 	}
 }
-
-func (s *Simulator) memLat() uint64 { return uint64(s.mc.MemLatencyCycles()) }
 
 // Now returns the current absolute cycle: width-paced instruction flow plus
 // accumulated penalties. It is monotone over the run.
@@ -164,7 +156,7 @@ func (s *Simulator) Step(a mem.Access) {
 	now := s.Now()
 
 	// What the demand would cost on its own, from the current hierarchy.
-	fallback := s.memLat()
+	fallback := s.memLat
 	inL2 := s.l2.Contains(line)
 	if inL2 {
 		fallback = uint64(s.mc.L2HitCycles)
@@ -173,16 +165,15 @@ func (s *Simulator) Step(a mem.Access) {
 	ev := prefetch.Event{PC: a.PC, Line: line, Write: a.Write}
 	var wait uint64
 	covered := false
-	if e, ok := s.buf[line]; ok {
+	if readyAt, ok := s.buf.take(line); ok {
 		// Covered miss: wait only for the in-flight prefetch, never
 		// longer than a demand fetch would take (the MSHRs merge the
 		// requests). The prefetch already paid for the bus transfer.
-		delete(s.buf, line)
 		s.res.Covered++
 		covered = true
 		ev.Kind = mem.EventPrefetchHit
-		if e.readyAt > now {
-			wait = e.readyAt - now
+		if readyAt > now {
+			wait = readyAt - now
 			if wait > fallback {
 				wait = fallback
 			}
@@ -279,10 +270,10 @@ func (s *Simulator) insertPrefetch(c prefetch.Candidate, now uint64) {
 	if s.l1.Contains(c.Line) {
 		return
 	}
-	if _, ok := s.buf[c.Line]; ok {
+	if s.buf.contains(c.Line) {
 		return
 	}
-	lat := s.memLat()
+	lat := s.memLat
 	if s.l2.Contains(c.Line) {
 		lat = uint64(s.mc.L2HitCycles)
 	} else {
@@ -293,14 +284,8 @@ func (s *Simulator) insertPrefetch(c prefetch.Candidate, now uint64) {
 			lat += s.bus.Acquire(now, mem.LineSize)
 		}
 	}
-	ready := now + uint64(c.Delay)*s.memLat() + lat
-	for len(s.buf) >= s.bufCap {
-		victim := s.fifo[0]
-		s.fifo = s.fifo[1:]
-		delete(s.buf, victim)
-	}
-	s.buf[c.Line] = bufEntry{readyAt: ready}
-	s.fifo = append(s.fifo, c.Line)
+	ready := now + uint64(c.Delay)*s.memLat + lat
+	s.buf.insert(c.Line, ready)
 }
 
 // Fetch returns the core's current cycle; the multicore scheduler advances
@@ -347,9 +332,7 @@ func (s *Simulator) resetMeasurement() {
 		}
 		return 0
 	}
-	for l, e := range s.buf {
-		s.buf[l] = bufEntry{readyAt: sub(e.readyAt)}
-	}
+	s.buf.rebase(base)
 	s.leaderEnd = sub(s.leaderEnd)
 	s.groupStart = sub(s.groupStart)
 	s.lastMissEnd = sub(s.lastMissEnd)

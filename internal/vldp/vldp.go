@@ -14,6 +14,7 @@
 package vldp
 
 import (
+	"domino/internal/flathash"
 	"domino/internal/mem"
 	"domino/internal/prefetch"
 )
@@ -40,9 +41,36 @@ func DefaultConfig(degree int) Config {
 type dhbEntry struct {
 	page        mem.Page
 	lastOffset  int
-	deltas      []int // most recent first, at most MaxHistory
+	deltas      deltaHistory
 	firstOffset int
 	sawSecond   bool
+}
+
+// deltaHistory holds a page's most recent deltas, most recent first: d[:n]
+// with n at most MaxHistory, which is at most 3.
+type deltaHistory struct {
+	d [3]int
+	n int
+}
+
+// push prepends delta, dropping the oldest delta beyond max.
+func (h *deltaHistory) push(delta, max int) {
+	h.d[2], h.d[1], h.d[0] = h.d[1], h.d[0], delta
+	if h.n < max {
+		h.n++
+	}
+}
+
+// key encodes the n most recent deltas as one DPT key, 16 bits per delta.
+// Deltas lie in (-64, 64) and are never zero, so a key is non-zero, unused
+// positions are unambiguously zero, and histories of different lengths
+// never share a key.
+func (h *deltaHistory) key(n int) uint64 {
+	var k uint64
+	for i := 0; i < n; i++ {
+		k |= uint64(uint16(int16(h.d[i]))) << (16 * i)
+	}
+	return k
 }
 
 // predEntry is a DPT/OPT prediction with a one-bit accuracy state: a
@@ -53,17 +81,34 @@ type predEntry struct {
 	acc   bool
 }
 
-// dptKey encodes up to three deltas; deltas are never zero, so unused
-// positions are unambiguously zero.
-type dptKey [3]int16
+// pack stores e in one DPT value: the delta shifted left by one, the
+// accuracy bit in bit 0.
+func (e predEntry) pack() int32 {
+	v := int32(e.delta) << 1
+	if e.acc {
+		v |= 1
+	}
+	return v
+}
+
+func unpack(v int32) predEntry { return predEntry{delta: int(v >> 1), acc: v&1 != 0} }
 
 // Prefetcher is the VLDP engine. Construct with New.
+//
+// The per-trigger path allocates nothing in steady state: DHB entries live
+// in a fixed pool and a new page takes over the LRU entry, delta histories
+// are fixed arrays, the three DPTs share one flathash map holding packed
+// entries (their keys never collide, see deltaHistory.key), and candidates
+// go into one scratch slice that Trigger returns. Only the infinite DPTs'
+// growth allocates, amortised.
 type Prefetcher struct {
-	cfg Config
-	dhb []*dhbEntry // MRU order
-	opt []predEntry
-	ovd []bool // opt entry valid
-	dpt []map[dptKey]*predEntry
+	cfg  Config
+	dhb  []*dhbEntry // MRU order, pointing into pool
+	pool []dhbEntry
+	opt  []predEntry
+	ovd  []bool               // opt entry valid
+	dpt  *flathash.Map[int32] // deltaHistory.key -> predEntry.pack
+	out  []prefetch.Candidate
 }
 
 // New builds a VLDP prefetcher.
@@ -74,29 +119,29 @@ func New(cfg Config) *Prefetcher {
 	if cfg.OPTEntries <= 0 {
 		cfg.OPTEntries = mem.LinesPerPage
 	}
-	p := &Prefetcher{
-		cfg: cfg,
-		opt: make([]predEntry, cfg.OPTEntries),
-		ovd: make([]bool, cfg.OPTEntries),
-		dpt: make([]map[dptKey]*predEntry, cfg.MaxHistory),
+	return &Prefetcher{
+		cfg:  cfg,
+		dhb:  make([]*dhbEntry, 0, cfg.DHBEntries),
+		pool: make([]dhbEntry, cfg.DHBEntries),
+		opt:  make([]predEntry, cfg.OPTEntries),
+		ovd:  make([]bool, cfg.OPTEntries),
+		dpt:  flathash.New[int32](0),
 	}
-	for i := range p.dpt {
-		p.dpt[i] = make(map[dptKey]*predEntry)
-	}
-	return p
 }
 
 // Name returns "vldp".
 func (p *Prefetcher) Name() string { return "vldp" }
 
-// Trigger implements prefetch.Prefetcher.
+// Trigger implements prefetch.Prefetcher. The returned slice is reused by
+// the next call.
 func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 	page := ev.Line.Page()
 	off := ev.Line.PageOffset()
+	p.out = p.out[:0]
 
 	e := p.lookupDHB(page)
 	if e == nil {
-		e = p.allocDHB(page, off)
+		p.allocDHB(page, off)
 		// First access to the page: only the OPT can predict.
 		return p.predictFromOPT(page, off)
 	}
@@ -111,16 +156,15 @@ func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 		p.trainOPT(e.firstOffset, delta)
 	}
 	// Train the DPTs: previous histories of each length predict delta.
-	p.trainDPTs(e.deltas, delta)
+	p.trainDPTs(&e.deltas, delta)
 	// Push the new delta and predict ahead, chaining predictions.
-	e.deltas = pushDelta(e.deltas, delta, p.cfg.MaxHistory)
+	e.deltas.push(delta, p.cfg.MaxHistory)
 	e.lastOffset = off
 
-	hist := append([]int(nil), e.deltas...)
+	hist := e.deltas
 	cur := off
-	var out []prefetch.Candidate
-	for len(out) < p.cfg.Degree {
-		d, ok := p.predictFromDPTs(hist)
+	for len(p.out) < p.cfg.Degree {
+		d, ok := p.predictFromDPTs(&hist)
 		if !ok {
 			break
 		}
@@ -128,18 +172,10 @@ func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 		if cur < 0 || cur >= mem.LinesPerPage {
 			break
 		}
-		out = append(out, prefetch.Candidate{Line: page.LineAt(cur), Tag: p.Name()})
-		hist = pushDelta(hist, d, p.cfg.MaxHistory)
+		p.out = append(p.out, prefetch.Candidate{Line: page.LineAt(cur), Tag: p.Name()})
+		hist.push(d, p.cfg.MaxHistory)
 	}
-	return out
-}
-
-func pushDelta(hist []int, d, max int) []int {
-	hist = append([]int{d}, hist...)
-	if len(hist) > max {
-		hist = hist[:max]
-	}
-	return hist
+	return p.out
 }
 
 func (p *Prefetcher) lookupDHB(page mem.Page) *dhbEntry {
@@ -153,13 +189,19 @@ func (p *Prefetcher) lookupDHB(page mem.Page) *dhbEntry {
 	return nil
 }
 
-func (p *Prefetcher) allocDHB(page mem.Page, off int) *dhbEntry {
-	e := &dhbEntry{page: page, lastOffset: off, firstOffset: off}
-	if len(p.dhb) >= p.cfg.DHBEntries {
-		p.dhb = p.dhb[:p.cfg.DHBEntries-1]
+// allocDHB installs page as the MRU entry, taking a fresh pool entry
+// until the DHB is full and the LRU entry after that.
+func (p *Prefetcher) allocDHB(page mem.Page, off int) {
+	var e *dhbEntry
+	if n := len(p.dhb); n < p.cfg.DHBEntries {
+		e = &p.pool[n]
+		p.dhb = append(p.dhb, nil)
+	} else {
+		e = p.dhb[n-1]
 	}
-	p.dhb = append([]*dhbEntry{e}, p.dhb...)
-	return e
+	copy(p.dhb[1:], p.dhb[:len(p.dhb)-1])
+	p.dhb[0] = e
+	*e = dhbEntry{page: page, lastOffset: off, firstOffset: off}
 }
 
 func (p *Prefetcher) predictFromOPT(page mem.Page, off int) []prefetch.Candidate {
@@ -170,7 +212,8 @@ func (p *Prefetcher) predictFromOPT(page mem.Page, off int) []prefetch.Candidate
 	if target < 0 || target >= mem.LinesPerPage {
 		return nil
 	}
-	return []prefetch.Candidate{{Line: page.LineAt(target), Tag: p.Name()}}
+	p.out = append(p.out, prefetch.Candidate{Line: page.LineAt(target), Tag: p.Name()})
+	return p.out
 }
 
 func (p *Prefetcher) trainOPT(firstOff, delta int) {
@@ -191,23 +234,18 @@ func (p *Prefetcher) trainOPT(firstOff, delta int) {
 	}
 }
 
-func keyOf(hist []int, n int) dptKey {
-	var k dptKey
-	for i := 0; i < n; i++ {
-		k[i] = int16(hist[i])
-	}
-	return k
-}
-
-func (p *Prefetcher) trainDPTs(prevHist []int, delta int) {
-	for n := 1; n <= len(prevHist) && n <= p.cfg.MaxHistory; n++ {
-		k := keyOf(prevHist, n)
-		tbl := p.dpt[n-1]
-		e, ok := tbl[k]
+func (p *Prefetcher) trainDPTs(prev *deltaHistory, delta int) {
+	for n := 1; n <= prev.n; n++ {
+		k := prev.key(n)
+		v, ok := p.dpt.Get(k)
+		e := unpack(v)
 		switch {
 		case !ok:
-			tbl[k] = &predEntry{delta: delta, acc: true}
+			e = predEntry{delta: delta, acc: true}
 		case e.delta == delta:
+			if e.acc {
+				continue
+			}
 			e.acc = true
 		case e.acc:
 			e.acc = false
@@ -215,24 +253,18 @@ func (p *Prefetcher) trainDPTs(prevHist []int, delta int) {
 			e.delta = delta
 			e.acc = true
 		}
+		p.dpt.Put(k, e.pack())
 	}
 }
 
 // predictFromDPTs consults the DPTs from the longest available history
 // down, returning the first match (longer histories take precedence even
 // over more accurate shorter ones, per MICRO'15).
-func (p *Prefetcher) predictFromDPTs(hist []int) (int, bool) {
-	for n := min(len(hist), p.cfg.MaxHistory); n >= 1; n-- {
-		if e, ok := p.dpt[n-1][keyOf(hist, n)]; ok {
-			return e.delta, true
+func (p *Prefetcher) predictFromDPTs(hist *deltaHistory) (int, bool) {
+	for n := hist.n; n >= 1; n-- {
+		if v, ok := p.dpt.Get(hist.key(n)); ok {
+			return unpack(v).delta, true
 		}
 	}
 	return 0, false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

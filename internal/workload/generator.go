@@ -36,7 +36,10 @@ type Generator struct {
 	docs []document
 	hot  []mem.Line
 
+	// queue holds the current episode's accesses; Next serves them from
+	// head and refills the same backing array once they are all taken.
 	queue   []mem.Access
+	head    int
 	active  []activeSlot
 	lastDoc int
 
@@ -74,7 +77,7 @@ func New(p Params) *Generator {
 func (g *Generator) Params() Params { return g.p }
 
 func (g *Generator) buildDocuments() {
-	p := g.p
+	p := &g.p
 	g.docs = make([]document, p.Documents)
 	for i := range g.docs {
 		n := g.docLen()
@@ -127,11 +130,12 @@ func (g *Generator) docLen() int {
 
 // Next implements trace.Reader; the stream never ends.
 func (g *Generator) Next() (mem.Access, bool) {
-	for len(g.queue) == 0 {
+	for g.head == len(g.queue) {
+		g.queue, g.head = g.queue[:0], 0
 		g.refill()
 	}
-	a := g.queue[0]
-	g.queue = g.queue[1:]
+	a := g.queue[g.head]
+	g.head++
 	return a, true
 }
 
@@ -174,7 +178,7 @@ func (g *Generator) startDoc(s *activeSlot) {
 // noise lines are unique, so spraying them inside a burst would cut every
 // temporal stream below what the paper measures.
 func (g *Generator) replayBurst() {
-	p := g.p
+	p := &g.p
 	slot := &g.active[g.rng.Intn(len(g.active))]
 	if slot.doc == nil {
 		g.startDoc(slot)
@@ -249,7 +253,7 @@ func (g *Generator) emitNoise() {
 // access and/or a hot (cache-resident) access before the next document
 // element.
 func (g *Generator) interleave() {
-	p := g.p
+	p := &g.p
 	if g.rng.Float64() < p.NoiseProb {
 		g.emitNoise()
 	}
@@ -268,7 +272,7 @@ func (g *Generator) interleave() {
 // from the delta sequence but that no temporal prefetcher can replay,
 // because the addresses have never been seen.
 func (g *Generator) spatialRun() {
-	p := g.p
+	p := &g.p
 	stride := maxInt(p.SpatialStride, 1)
 	runLen := maxInt(p.SpatialRunLen, 2)
 	if runLen*stride > mem.LinesPerPage {
@@ -292,7 +296,7 @@ func (g *Generator) spatialRun() {
 }
 
 func (g *Generator) gap() uint16 {
-	p := g.p
+	p := &g.p
 	gap := p.GapMean
 	if p.GapJitter > 0 {
 		gap += g.rng.Intn(2*p.GapJitter+1) - p.GapJitter

@@ -17,7 +17,10 @@
 # benchmarks (BenchmarkTrainLookup, Domino's included), the slab EIT and
 # the fixed-array prefetch buffer against the pointer and map reference
 # implementations they replaced (BenchmarkEIT, BenchmarkBufferChurn, Flat
-# vs Map), the evaluator step, the serving hot path (plain, with
+# vs Map), the evaluator step, the rest of a Fig. 14 cell's path (VLDP's
+# and ISB's training loops, the timing model's Simulator.Step, and the
+# workload generator at one 4096-access chunk per op; all gated at 0
+# allocs/op), the serving hot path (plain, with
 # telemetry enabled, and with the full overload-governance stack armed
 # but uncontended — the steady-state price of governance), the telemetry
 # sinks themselves (enabled and nil-disabled paths), and the trace
@@ -40,6 +43,7 @@ trap 'rm -f "$out"' EXIT
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
   ./internal/flathash ./internal/digram ./internal/stms ./internal/isb ./internal/ghb \
   ./internal/core ./internal/prefetch \
+  ./internal/vldp ./internal/timing ./internal/workload \
   ./internal/serve ./internal/telemetry ./internal/trace \
   | tee "$out"
 
